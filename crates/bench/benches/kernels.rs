@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use phylo_kernel::kernels::{update_partials, Side};
 use phylo_kernel::likelihood::edge_log_likelihood;
-use phylo_kernel::sitepar::update_partials_par;
+use phylo_kernel::sitepar::SiteParPool;
 use phylo_kernel::{reference, KernelScratch, Layout, TierChoice, TipTable};
 use phylo_models::gamma::GammaMode;
 use phylo_models::{aa, dna, DiscreteGamma, SubstModel};
@@ -125,8 +125,10 @@ fn bench_sitepar(c: &mut Criterion) {
         .map(|threads| {
             let mut out = vec![0.0; s.layout.clv_len()];
             let mut scale = vec![0u32; s.layout.patterns];
+            // Each row owns a pool sized for its thread count.
+            let pool = SiteParPool::new(threads);
             let f: Box<dyn FnMut()> = Box::new(move || {
-                update_partials_par(
+                pool.update_partials(
                     &s.layout,
                     Side::Clv { clv: &s.clv, scale: None, pmatrix: &s.pmatrix },
                     Side::Clv { clv: &s.clv, scale: None, pmatrix: &s.pmatrix },

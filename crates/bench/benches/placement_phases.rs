@@ -61,7 +61,7 @@ fn bench_thorough(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(3));
     group.warm_up_time(std::time::Duration::from_millis(500));
     let f = fixture(neotrop(Scale::Ci));
-    let mut store = ManagedStore::full(&f.ctx);
+    let store = ManagedStore::full(&f.ctx);
     let e = EdgeId(0);
     let block = store.prepare(&f.ctx, &[DirEdgeId::new(e, 0), DirEdgeId::new(e, 1)]).unwrap();
     let q = &f.batch.queries()[0];

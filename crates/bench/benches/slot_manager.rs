@@ -14,7 +14,7 @@ fn bench_acquire_hit(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(3));
     group.warm_up_time(std::time::Duration::from_millis(500));
     for n_clvs in [1_000usize, 100_000] {
-        let mut mgr = SlotManager::new(n_clvs, 64, StrategyKind::Fifo.build(None));
+        let mgr = SlotManager::new(n_clvs, 64, StrategyKind::Fifo.build(None));
         for k in 0..64u32 {
             mgr.acquire(ClvKey(k)).unwrap();
         }
@@ -29,7 +29,7 @@ fn bench_acquire_hit(c: &mut Criterion) {
     }
     // Miss + eviction path.
     let costs: Vec<f64> = (0..100_000).map(|i| (i % 97) as f64).collect();
-    let mut mgr = SlotManager::new(100_000, 64, StrategyKind::CostBased.build(Some(costs)));
+    let mgr = SlotManager::new(100_000, 64, StrategyKind::CostBased.build(Some(costs)));
     let mut next = 0u32;
     group.bench_function("acquire_evict_cost_based", |b| {
         b.iter(|| {
@@ -61,7 +61,8 @@ fn bench_ensure_resident(c: &mut Criterion) {
                 let mut total_ops = 0usize;
                 for e in tree.all_edges().take(16) {
                     let targets = [DirEdgeId::new(e, 0), DirEdgeId::new(e, 1)];
-                    let rs = phylo_amc::ensure_resident(&tree, &targets, &mut mgr, &need).unwrap();
+                    let mut rs =
+                        phylo_amc::ensure_resident(&tree, &targets, &mut mgr, &need).unwrap();
                     total_ops += rs.ops.len();
                     rs.release(&mut mgr);
                 }

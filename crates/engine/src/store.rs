@@ -355,7 +355,7 @@ impl ManagedStore {
     /// with [`PendingBlock::into_prepared`].
     ///
     /// This split exists for the asynchronous branch-block prefetch: the
-    /// prefetch thread computes one step at a time with no lock held, so
+    /// prefetch task computes one step at a time with no lock held, so
     /// placement workers reading the *current* block interleave freely.
     pub fn plan_prepare(
         &self,

@@ -5,15 +5,14 @@
 //! work. Because the CLV layout keeps patterns outermost, splitting the
 //! pattern range splits every buffer into disjoint contiguous slices.
 //!
-//! Earlier revisions spawned (and joined) fresh OS threads on *every*
-//! kernel call, which made site-parallel scoring scale negatively: the
-//! per-call spawn cost dwarfed the per-chunk kernel work. The wrappers
-//! now run on a [`SiteParPool`] — workers are spawned once, park on a
-//! condvar between calls, and a call is just "publish a job, wake the
-//! pool, help drain it". The caller thread always participates in the
-//! drain, so a pool sized `n` uses `n - 1` parked workers plus the
+//! The wrappers run on a [`SiteParPool`]: workers are spawned once, park
+//! on a condvar between calls, and a call is just "publish a job, wake
+//! the pool, help drain it". The caller thread always participates in
+//! the drain, so a pool sized `n` uses `n - 1` parked workers plus the
 //! caller, and on a single-core host (zero workers) every call runs
-//! inline with no synchronization beyond two atomic bumps.
+//! inline with no synchronization beyond two atomic bumps. The placer
+//! runs its query scoring ([`SiteParPool::run`]) and branch-block
+//! prefetch ([`SiteParPool::join`]) on a pool of the same type.
 //!
 //! Each chunk calls the dispatching serial kernels on its sub-range, so
 //! the range split composes with kernel specialization *and* the tier
@@ -24,13 +23,15 @@
 //! As the paper observes (§V-C), site parallelism still only pays off
 //! for wide alignments — each chunk must amortize its share of the
 //! wake/park handshake over `patterns / chunks` sites — but the
-//! handshake is now hundreds of nanoseconds, not a thread spawn.
+//! handshake is hundreds of nanoseconds, not a thread spawn.
 
 use crate::kernels::{update_partials, Side};
 use crate::layout::Layout;
 use crate::likelihood::edge_log_likelihood;
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Splits `patterns` into at most `n_chunks` near-equal contiguous ranges.
 pub fn split_ranges(patterns: usize, n_chunks: usize) -> Vec<std::ops::Range<usize>> {
@@ -81,16 +82,20 @@ impl<T> SendPtr<T> {
 /// One published batch of index-addressed tasks (`0..n_tasks`).
 struct Job {
     /// Type-erased `&(dyn Fn(usize) + Sync)` borrowed from the caller's
-    /// stack. Valid until `pending` reaches zero, which [`SiteParPool::run`]
-    /// waits for before returning; the pointer is only ever dereferenced
-    /// for a claimed index, strictly before that index's `pending`
-    /// decrement, so no dereference can happen after `run` returns.
+    /// stack. Valid until `pending` reaches zero, which the publishing
+    /// [`SiteParPool`] call waits for before returning — also when a task
+    /// panicked; the pointer is only ever dereferenced for a claimed
+    /// index, strictly before that index's `pending` decrement, so no
+    /// dereference can happen after the call returns.
     task: *const (dyn Fn(usize) + Sync),
     /// Next unclaimed task index.
     cursor: AtomicUsize,
     n_tasks: usize,
     /// Tasks not yet *finished* (claimed-and-executed).
     pending: AtomicUsize,
+    /// The first panic a task raised, re-raised on the publishing caller
+    /// once every task has finished.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
     done_m: Mutex<()>,
     done_cv: Condvar,
 }
@@ -101,7 +106,14 @@ unsafe impl Send for Job {}
 unsafe impl Sync for Job {}
 
 impl Job {
-    /// Claims and executes tasks until the cursor is exhausted.
+    fn has_unclaimed(&self) -> bool {
+        self.cursor.load(Ordering::Relaxed) < self.n_tasks
+    }
+
+    /// Claims and executes tasks until the cursor is exhausted. A
+    /// panicking task is caught and recorded, so the draining thread (a
+    /// pool worker or the caller) survives and `pending` always reaches
+    /// zero.
     fn drain(&self) {
         loop {
             let i = self.cursor.fetch_add(1, Ordering::Relaxed);
@@ -109,11 +121,14 @@ impl Job {
                 return;
             }
             // SAFETY: see the `task` field contract.
-            unsafe { (*self.task)(i) };
+            let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { (*self.task)(i) }));
+            if let Err(payload) = outcome {
+                lock(&self.panic).get_or_insert(payload);
+            }
             if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Lock-then-notify so a caller between its `pending`
                 // check and `wait` cannot miss the wakeup.
-                let _g = self.done_m.lock().unwrap();
+                let _g = lock(&self.done_m);
                 self.done_cv.notify_all();
             }
         }
@@ -121,20 +136,25 @@ impl Job {
 
     /// Blocks until every task has finished.
     fn wait(&self) {
-        let mut g = self.done_m.lock().unwrap();
+        let mut g = lock(&self.done_m);
         while self.pending.load(Ordering::Acquire) > 0 {
-            g = self.done_cv.wait(g).unwrap();
+            g = self.done_cv.wait(g).unwrap_or_else(|e| e.into_inner());
         }
     }
 }
 
+/// Locks a pool mutex. Tasks never run under these locks, so a poisoned
+/// one still guards consistent data.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 struct PoolState {
-    /// The most recently published job (workers help the latest; older
-    /// jobs are finished by their own publishing callers).
-    job: Option<Arc<Job>>,
-    /// Bumped on every publish so workers can tell "new job" from "the
-    /// job I just drained".
-    epoch: u64,
+    /// Published jobs with possibly unclaimed tasks, oldest first. Idle
+    /// workers help the oldest job that still has work; every job is
+    /// also drained by its own publishing caller, which removes it once
+    /// all of its tasks finished.
+    queue: Vec<Arc<Job>>,
     shutdown: bool,
 }
 
@@ -143,7 +163,7 @@ struct PoolInner {
     work_cv: Condvar,
     /// Workers currently parked on `work_cv`.
     parked: AtomicUsize,
-    /// Pool-routed batches since creation.
+    /// Batches (`run` and `join` calls) since creation.
     jobs: AtomicU64,
     /// Tasks executed (by workers and callers) since creation.
     tasks: AtomicU64,
@@ -157,7 +177,7 @@ pub struct PoolStats {
     pub workers: usize,
     /// Workers currently parked waiting for work.
     pub parked: usize,
-    /// Unclaimed tasks in the most recent job.
+    /// Unclaimed tasks across the published jobs.
     pub queue_depth: usize,
     /// Batches routed through the pool.
     pub jobs: u64,
@@ -165,12 +185,20 @@ pub struct PoolStats {
     pub tasks: u64,
 }
 
-/// A persistent site-parallel worker pool: `requested - 1` worker threads
-/// (clamped to the host's available parallelism) that park between calls.
+impl PoolStats {
+    /// The traffic since `baseline` (an earlier snapshot of the same
+    /// pool): counters are subtracted, gauges keep their current value.
+    pub fn delta(&self, baseline: &PoolStats) -> PoolStats {
+        PoolStats { jobs: self.jobs - baseline.jobs, tasks: self.tasks - baseline.tasks, ..*self }
+    }
+}
+
+/// A persistent worker pool: `requested - 1` worker threads (clamped to
+/// the host's available parallelism) that park between calls.
 ///
-/// Created once per run (the engine's store owns one; a lazily created
-/// [`SiteParPool::global`] instance backs the free-function wrappers) so
-/// thread startup is amortized across every kernel call of the run.
+/// Created once and reused for every call (the engine's store owns one
+/// for site-parallel kernels; a `Placer` owns one for scoring and branch
+/// prefetch), so thread startup is amortized across the whole run.
 pub struct SiteParPool {
     inner: Arc<PoolInner>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -201,7 +229,7 @@ impl SiteParPool {
 
     fn spawn(n_workers: usize) -> SiteParPool {
         let inner = Arc::new(PoolInner {
-            state: Mutex::new(PoolState { job: None, epoch: 0, shutdown: false }),
+            state: Mutex::new(PoolState { queue: Vec::new(), shutdown: false }),
             work_cv: Condvar::new(),
             parked: AtomicUsize::new(0),
             jobs: AtomicU64::new(0),
@@ -219,25 +247,13 @@ impl SiteParPool {
         SiteParPool { inner, handles }
     }
 
-    /// The process-wide pool backing [`update_partials_par`] /
-    /// [`edge_log_likelihood_par`], sized to the host parallelism and
-    /// created on first use.
-    pub fn global() -> &'static SiteParPool {
-        static POOL: OnceLock<SiteParPool> = OnceLock::new();
-        POOL.get_or_init(|| {
-            SiteParPool::new(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-        })
-    }
-
     /// Current pool counters.
     pub fn stats(&self) -> PoolStats {
-        let queue_depth = {
-            let st = self.inner.state.lock().unwrap();
-            st.job
-                .as_ref()
-                .map(|j| j.n_tasks.saturating_sub(j.cursor.load(Ordering::Relaxed)))
-                .unwrap_or(0)
-        };
+        let queue_depth = lock(&self.inner.state)
+            .queue
+            .iter()
+            .map(|j| j.n_tasks.saturating_sub(j.cursor.load(Ordering::Relaxed)))
+            .sum();
         PoolStats {
             workers: self.handles.len(),
             parked: self.inner.parked.load(Ordering::Relaxed),
@@ -250,21 +266,61 @@ impl SiteParPool {
     /// Executes `task(0..n_tasks)` across the pool; the calling thread
     /// participates and the call returns only when every task finished.
     /// Tasks must be independent (they run concurrently in any order).
+    ///
+    /// A panicking task does not stop the others: `run` waits for every
+    /// task, then re-raises the first panic on the caller. The pool
+    /// stays usable.
     pub fn run(&self, n_tasks: usize, task: &(dyn Fn(usize) + Sync)) {
         if n_tasks == 0 {
             return;
         }
+        // A single task gains nothing from a hand-off.
+        self.execute(n_tasks, task, n_tasks > 1, || ());
+    }
+
+    /// Runs `a` on the calling thread while `b` is offered to the pool,
+    /// and returns both results once both finished. With no idle worker
+    /// (or none at all) the caller runs `b` itself after `a`.
+    ///
+    /// A panic in either closure is re-raised on the caller only after
+    /// the other one finished; `a`'s panic wins when both panic.
+    pub fn join<RA, RB: Send>(
+        &self,
+        a: impl FnOnce() -> RA,
+        b: impl FnOnce() -> RB + Send,
+    ) -> (RA, RB) {
+        let b = Mutex::new(Some(b));
+        let rb = Mutex::new(None);
+        let ra = self.execute(
+            1,
+            &|_| {
+                let f = lock(&b).take().expect("the join task runs once");
+                let r = f();
+                *lock(&rb) = Some(r);
+            },
+            true,
+            a,
+        );
+        let rb = rb.into_inner().unwrap_or_else(|e| e.into_inner());
+        (ra, rb.expect("a finished join task left its result"))
+    }
+
+    /// Publishes `task(0..n_tasks)` (when `hand_off` and the pool has
+    /// workers), runs `caller` on this thread, helps drain the job, and
+    /// waits for every task before re-raising the first caught panic.
+    fn execute<R>(
+        &self,
+        n_tasks: usize,
+        task: &(dyn Fn(usize) + Sync),
+        hand_off: bool,
+        caller: impl FnOnce() -> R,
+    ) -> R {
         self.inner.jobs.fetch_add(1, Ordering::Relaxed);
-        if self.handles.is_empty() || n_tasks == 1 {
-            for i in 0..n_tasks {
-                task(i);
-            }
-            self.inner.tasks.fetch_add(n_tasks as u64, Ordering::Relaxed);
-            return;
-        }
+        self.inner.tasks.fetch_add(n_tasks as u64, Ordering::Relaxed);
         // SAFETY: erase the borrow lifetime of `task`. The pointer is
         // dereferenced only for claimed indices, all of which complete
-        // before `job.wait()` returns below, i.e. within the borrow.
+        // before `job.wait()` returns below, i.e. within the borrow —
+        // panics included, since `drain` catches them.
         let task_ptr: *const (dyn Fn(usize) + Sync) =
             unsafe { std::mem::transmute(task as *const (dyn Fn(usize) + Sync)) };
         let job = Arc::new(Job {
@@ -272,25 +328,29 @@ impl SiteParPool {
             cursor: AtomicUsize::new(0),
             n_tasks,
             pending: AtomicUsize::new(n_tasks),
+            panic: Mutex::new(None),
             done_m: Mutex::new(()),
             done_cv: Condvar::new(),
         });
-        {
-            let mut st = self.inner.state.lock().unwrap();
-            st.epoch += 1;
-            st.job = Some(Arc::clone(&job));
+        let published = hand_off && !self.handles.is_empty();
+        if published {
+            lock(&self.inner.state).queue.push(Arc::clone(&job));
+            self.inner.work_cv.notify_all();
         }
-        self.inner.work_cv.notify_all();
+        let caller_result = catch_unwind(AssertUnwindSafe(caller));
         job.drain();
-        self.inner.tasks.fetch_add(job.n_tasks as u64, Ordering::Relaxed);
         job.wait();
-        // Unpublish so `task`'s borrow cannot outlive this call through
-        // the pool state (workers holding stale Arcs see an exhausted
-        // cursor and never touch the pointer again).
-        let mut st = self.inner.state.lock().unwrap();
-        if st.job.as_ref().is_some_and(|j| Arc::ptr_eq(j, &job)) {
-            st.job = None;
+        if published {
+            // Unpublish so `task`'s borrow cannot outlive this call
+            // through the pool state (workers holding stale Arcs see an
+            // exhausted cursor and never touch the pointer again).
+            lock(&self.inner.state).queue.retain(|j| !Arc::ptr_eq(j, &job));
         }
+        let r = caller_result.unwrap_or_else(|payload| resume_unwind(payload));
+        if let Some(payload) = lock(&job.panic).take() {
+            resume_unwind(payload);
+        }
+        r
     }
 
     /// Parallel [`update_partials`] over `n_chunks` contiguous pattern
@@ -387,10 +447,7 @@ impl SiteParPool {
 
 impl Drop for SiteParPool {
     fn drop(&mut self) {
-        {
-            let mut st = self.inner.state.lock().unwrap();
-            st.shutdown = true;
-        }
+        lock(&self.inner.state).shutdown = true;
         self.inner.work_cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -399,69 +456,23 @@ impl Drop for SiteParPool {
 }
 
 fn worker_loop(inner: Arc<PoolInner>) {
-    let mut seen_epoch = 0u64;
     loop {
         let job = {
-            let mut st = inner.state.lock().unwrap();
+            let mut st = lock(&inner.state);
             loop {
                 if st.shutdown {
                     return;
                 }
-                if st.epoch != seen_epoch {
-                    seen_epoch = st.epoch;
-                    if let Some(job) = st.job.clone() {
-                        break job;
-                    }
-                    // Job already unpublished (finished): nothing to help.
-                    continue;
+                if let Some(job) = st.queue.iter().find(|j| j.has_unclaimed()) {
+                    break Arc::clone(job);
                 }
                 inner.parked.fetch_add(1, Ordering::Relaxed);
-                st = inner.work_cv.wait(st).unwrap();
+                st = inner.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
                 inner.parked.fetch_sub(1, Ordering::Relaxed);
             }
         };
         job.drain();
     }
-}
-
-/// Parallel [`update_partials`] on the [`SiteParPool::global`] pool:
-/// splits the pattern range into `n_threads` chunks. Falls back to the
-/// serial kernel for one thread or tiny pattern counts.
-pub fn update_partials_par(
-    layout: &Layout,
-    left: Side<'_>,
-    right: Side<'_>,
-    out: &mut [f64],
-    out_scale: &mut [u32],
-    n_threads: usize,
-) {
-    SiteParPool::global().update_partials(layout, left, right, out, out_scale, n_threads)
-}
-
-/// Parallel [`edge_log_likelihood`] on the [`SiteParPool::global`] pool;
-/// deterministic for a fixed `n_threads` (partial sums added in range
-/// order).
-#[allow(clippy::too_many_arguments)]
-pub fn edge_log_likelihood_par(
-    layout: &Layout,
-    u_clv: &[f64],
-    u_scale: Option<&[u32]>,
-    v: Side<'_>,
-    freqs: &[f64],
-    rate_weights: &[f64],
-    pattern_weights: &[u32],
-    n_threads: usize,
-) -> f64 {
-    SiteParPool::global().edge_log_likelihood(
-        layout,
-        u_clv,
-        u_scale,
-        v,
-        freqs,
-        rate_weights,
-        pattern_weights,
-        n_threads,
-    )
 }
 
 #[cfg(test)]
@@ -519,12 +530,6 @@ mod tests {
             assert_eq!(serial, par, "threads={threads}");
             assert_eq!(serial_scale, par_scale);
         }
-        // The free-function wrapper (global pool, host-clamped) agrees too.
-        let mut par = vec![0.0; layout.clv_len()];
-        let mut par_scale = vec![0u32; patterns];
-        update_partials_par(&layout, left, right, &mut par, &mut par_scale, 4);
-        assert_eq!(serial, par);
-        assert_eq!(serial_scale, par_scale);
     }
 
     #[test]
@@ -565,17 +570,6 @@ mod tests {
             );
             assert!((serial - par).abs() < 1e-9, "threads={threads}: {serial} vs {par}");
         }
-        let par = edge_log_likelihood_par(
-            &layout,
-            &u_clv,
-            None,
-            Side::Tip { table: &table, codes: &codes },
-            &freqs,
-            &[1.0],
-            &pw,
-            3,
-        );
-        assert!((serial - par).abs() < 1e-9, "{serial} vs {par}");
     }
 
     #[test]
@@ -586,7 +580,7 @@ mod tests {
         let codes = [0u8, 1, 2];
         let mut out = vec![0.0; layout.clv_len()];
         let mut scale = vec![0u32; 3];
-        update_partials_par(
+        SiteParPool::with_workers(2).update_partials(
             &layout,
             Side::Tip { table: &table, codes: &codes },
             Side::Tip { table: &table, codes: &codes },
@@ -659,5 +653,115 @@ mod tests {
             }
         });
         assert_eq!(total.load(Ordering::Relaxed), 4 * 25 * 7);
+    }
+
+    /// Runs `body` on its own thread and fails the test if it neither
+    /// returns nor panics within `secs` — a hung pool must fail, not
+    /// stall the suite.
+    fn within(secs: u64, body: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let r = catch_unwind(AssertUnwindSafe(body));
+            let _ = tx.send(r);
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(secs)) {
+            Ok(Ok(())) => {}
+            Ok(Err(payload)) => resume_unwind(payload),
+            Err(_) => panic!("pool call hung for {secs}s"),
+        }
+    }
+
+    /// A task that panics on a worker neither kills the worker nor
+    /// strands the caller: `run` re-raises on the caller only after every
+    /// other task finished, and the same worker serves the next job.
+    #[test]
+    fn worker_panic_is_reraised_on_the_caller_after_all_tasks() {
+        within(30, || {
+            let pool = SiteParPool::with_workers(1);
+            let caller = std::thread::current().id();
+            // Tasks 0 and 1 meet at the barrier, so they run on two
+            // different threads: the caller and the worker.
+            let meet = std::sync::Barrier::new(2);
+            let done = AtomicUsize::new(0);
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                pool.run(16, &|i| {
+                    if i < 2 {
+                        meet.wait();
+                        if std::thread::current().id() != caller {
+                            panic!("injected worker-task panic");
+                        }
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    done.fetch_add(1, Ordering::SeqCst);
+                });
+            }));
+            assert!(r.is_err(), "the worker's panic must reach the caller");
+            assert_eq!(done.load(Ordering::SeqCst), 15, "every other task finished first");
+            // The worker survived: another two-thread rendezvous succeeds.
+            let meet = std::sync::Barrier::new(2);
+            pool.run(2, &|_| {
+                meet.wait();
+            });
+            let stats = pool.stats();
+            assert_eq!((stats.workers, stats.jobs, stats.queue_depth), (1, 2, 0));
+        });
+    }
+
+    /// A panic on the calling thread waits for the tasks that workers
+    /// already claimed (they still borrow the caller's closure) before
+    /// unwinding out of the pool.
+    #[test]
+    fn caller_panic_waits_for_claimed_tasks() {
+        within(30, || {
+            let pool = SiteParPool::with_workers(1);
+            let finished = std::sync::atomic::AtomicBool::new(false);
+            let started = std::sync::Barrier::new(2);
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                pool.join(
+                    || {
+                        started.wait();
+                        panic!("injected caller panic");
+                    },
+                    || {
+                        started.wait();
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                        finished.store(true, Ordering::SeqCst);
+                    },
+                )
+            }));
+            assert!(r.is_err());
+            assert!(finished.load(Ordering::SeqCst), "join unwound before its pool task ended");
+            assert_eq!(pool.join(|| 1, || 2), (1, 2), "the pool keeps serving");
+        });
+    }
+
+    /// `join` overlaps its two halves when the pool has a worker, and
+    /// runs them in order on the caller when it has none.
+    #[test]
+    fn join_overlaps_with_a_worker_and_runs_inline_without() {
+        within(30, || {
+            let pool = SiteParPool::with_workers(1);
+            let meet = std::sync::Barrier::new(2);
+            let (a, b) = pool.join(
+                || {
+                    meet.wait();
+                    "a"
+                },
+                || {
+                    meet.wait();
+                    "b"
+                },
+            );
+            assert_eq!((a, b), ("a", "b"));
+
+            let inline = SiteParPool::with_workers(0);
+            let order = Mutex::new(Vec::new());
+            let caller = std::thread::current().id();
+            inline.join(
+                || order.lock().unwrap().push(("a", std::thread::current().id())),
+                || order.lock().unwrap().push(("b", std::thread::current().id())),
+            );
+            assert_eq!(*order.lock().unwrap(), vec![("a", caller), ("b", caller)]);
+        });
     }
 }

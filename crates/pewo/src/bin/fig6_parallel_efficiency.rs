@@ -6,11 +6,12 @@
 //! * **maxmem** — AMC on, but with enough budget for the full slot
 //!   complement (≈ the unconstrained footprint).
 //!
-//! `PE(r) = T(serial) / (T(r) · P(r))`, fastest of N repeats, where `P`
-//! counts the extra asynchronous prefetch thread when AMC is enabled
-//! (paper §V-C). Expected shape: PE degrades when AMC is on, because the
+//! `PE(r) = T(serial) / (T(r) · P(r))`, fastest of N repeats, where
+//! `P(r) = r`: the asynchronous prefetch runs as a task on the placer's
+//! `r`-thread pool, not on a thread of its own (the paper's §V-C setup
+//! adds one). Expected shape: PE degrades when AMC is on, because the
 //! branch-block CLV recomputation is only parallelized as one async
-//! thread.
+//! task.
 
 use epa_place::{memplan, EpaConfig, Placer};
 use pewo_bench::setup::thread_sweep;
@@ -72,8 +73,8 @@ fn main() {
                     let (_, report) = placer.place(&batch).expect("parallel run");
                     Timed { time: report.total_time, payload: () }
                 });
-                // AMC runs use one extra async precompute thread.
-                let p = threads + usize::from(amc_on);
+                // The prefetch shares the `threads`-thread pool.
+                let p = threads;
                 let speedup = t_serial / run.time.as_secs_f64();
                 table.row(&[
                     spec.name.to_string(),

@@ -78,9 +78,10 @@ fn main() {
                     let (_, report) = placer.place(&batch).expect("parallel run");
                     Timed { time: report.total_time, payload: () }
                 });
-                // The async scheme uses one extra prefetch thread; the
-                // across-site scheme reuses the workers.
-                let p = threads + usize::from(amc_on && scheme == "async");
+                // Both schemes run on `threads` threads: the async
+                // prefetch is a task on the placer's pool, the
+                // across-site kernels reuse the store's workers.
+                let p = threads;
                 let pe = t_serial / run.time.as_secs_f64() / p as f64;
                 table.row(&[
                     mode.to_string(),

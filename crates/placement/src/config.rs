@@ -37,7 +37,8 @@ pub struct EpaConfig {
     /// Minimum number of thoroughly scored branches per query.
     pub thorough_min: usize,
     /// Overlap next-block CLV precomputation with current-block placement
-    /// on a dedicated thread (the paper's adapted parallelization).
+    /// as a task on the scoring pool (the paper's adapted
+    /// parallelization).
     pub async_prefetch: bool,
     /// Across-site threads for CLV recomputation (the paper's Fig. 7
     /// experimental mode); `1` = serial kernels.

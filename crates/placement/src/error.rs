@@ -39,11 +39,11 @@ pub enum PlaceError {
     },
     /// A configuration field is out of range.
     BadConfig(String),
-    /// A worker or prefetch thread panicked. The panic was contained at
-    /// the thread boundary: in-flight leases are drained before this is
-    /// surfaced, so the store remains usable.
+    /// A scoring or prefetch task panicked. The panic was contained at
+    /// the task boundary: the batch's other tasks finish and release
+    /// their leases before this is surfaced, so the store remains usable.
     WorkerPanicked {
-        /// Which thread panicked and the panic payload, if printable.
+        /// Which task panicked and the panic payload, if printable.
         context: String,
     },
     /// A likelihood evaluated to NaN or ±∞. With the scaled kernels this

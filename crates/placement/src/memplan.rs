@@ -142,7 +142,7 @@ pub fn plan(
 pub struct BlockPlan {
     /// Branches per block, ≥ 1 whenever planning succeeds.
     pub block_size: usize,
-    /// Whether the next block is prefetched on a dedicated thread.
+    /// Whether the next block is prefetched as a pool task.
     pub async_prefetch: bool,
     /// Ladder rung 1 fired: async prefetch was requested but the spare
     /// slots can only carry one pinned block.

@@ -1,4 +1,4 @@
-//! The placement orchestrator: chunks × branch blocks × worker threads.
+//! The placement orchestrator: chunks × branch blocks × pool tasks.
 
 use crate::candidates::{group_by_branch_ranked, select_candidates};
 use crate::config::EpaConfig;
@@ -11,12 +11,15 @@ use crate::score::{attachment_partials, score_thorough, BranchScoreTable, ScoreS
 use phylo_amc::CancelToken;
 use phylo_engine::{ManagedStore, PreparedBlock, ReferenceContext};
 use phylo_journal::{ChunkFrame, ChunkStats, PlacementRecord, QueryRecord, RunJournal};
+use phylo_kernel::sitepar::{PoolStats, SiteParPool};
 use phylo_tree::{DirEdgeId, EdgeId};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Atomic tallies for the degradation ladder; workers and the prefetch
-/// thread bump them concurrently, [`Placer::place`] snapshots them into
+/// Atomic tallies for the degradation ladder; scoring and prefetch tasks
+/// bump them concurrently, [`Placer::place`] snapshots them into
 /// the run report.
 #[derive(Default)]
 struct DegradationCounters {
@@ -143,6 +146,10 @@ pub struct Placer {
     ctx: ReferenceContext,
     site_to_pattern: Vec<u32>,
     cfg: EpaConfig,
+    /// Workers for query scoring and branch-block prefetch, started on
+    /// the first scoring call (so building a placer or a warm store
+    /// starts no thread) and reused by every later run.
+    pool: OnceLock<SiteParPool>,
 }
 
 impl Placer {
@@ -159,7 +166,18 @@ impl Placer {
         // so every CLV and likelihood of the run uses one implementation
         // (`Auto` re-resolves env + CPU detection, a no-op override).
         ctx.set_kernel_tier(cfg.kernel_tier);
-        Ok(Placer { ctx, site_to_pattern, cfg })
+        Ok(Placer { ctx, site_to_pattern, cfg, pool: OnceLock::new() })
+    }
+
+    /// The scoring pool, sized from `cfg.threads` (clamped to the host's
+    /// cores): `threads - 1` workers plus the calling thread.
+    fn pool(&self) -> &SiteParPool {
+        self.pool.get_or_init(|| SiteParPool::new(self.cfg.threads))
+    }
+
+    /// Scoring-pool counters; all zero before the first scoring call.
+    pub fn pool_stats(&self) -> PoolStats {
+        self.pool.get().map(SiteParPool::stats).unwrap_or_default()
     }
 
     /// The reference context.
@@ -256,6 +274,7 @@ impl Placer {
         // authoritative per-run sources below, so those stay exact even
         // when concurrent runs share the registry.
         let obs_base = phylo_obs::snapshot();
+        let pool_base = self.pool_stats();
         let mut store = ManagedStore::with_slots(ctx, plan.slots, cfg.strategy)?;
         store.set_compute_threads(cfg.sitepar_threads.max(1));
         if let Some(timeout) = cfg.slot_wait_timeout {
@@ -445,6 +464,7 @@ impl Placer {
             &obs_base,
             ctx.layout().tier(),
             store.sitepar_stats(),
+            self.pool_stats().delta(&pool_base),
             tier_store.as_deref(),
         );
         Ok(PlaceOutcome { results, report, completed, queries_done })
@@ -517,6 +537,7 @@ impl Placer {
         warm.store.set_cancel_token(cancel);
         let slot_base = warm.store.stats();
         let obs_base = phylo_obs::snapshot();
+        let pool_base = self.pool_stats();
         let branches = ctx.tree().n_edges();
         let chunk_size = warm.chunk_size.min(batch.len().max(1));
         let mut report = RunReport {
@@ -574,8 +595,14 @@ impl Placer {
         // life — the arena is shared, the report is per-request.
         report.slot_stats = warm.store.stats().delta(&slot_base);
         report.total_time = t_total.elapsed();
-        report.metrics =
-            run_metrics(&report, &obs_base, ctx.layout().tier(), warm.store.sitepar_stats(), None);
+        report.metrics = run_metrics(
+            &report,
+            &obs_base,
+            ctx.layout().tier(),
+            warm.store.sitepar_stats(),
+            self.pool_stats().delta(&pool_base),
+            None,
+        );
         Ok(PlaceOutcome { results, report, completed, queries_done })
     }
 
@@ -592,11 +619,12 @@ impl Placer {
         qoff: usize,
         mat: &mut [f64],
         branches: usize,
-        results: &mut Vec<PlacementResult>,
+        results: &mut [PlacementResult],
         report: &mut RunReport,
     ) -> Result<ChunkStats, PlaceError> {
         let ctx = &self.ctx;
         let cfg = &self.cfg;
+        let pool = self.pool();
         // Ladder counters are per chunk and merged into the report at
         // the end of each chunk, so a run that degrades on every chunk
         // reports every step — not just the final chunk's. They also
@@ -615,6 +643,7 @@ impl Placer {
             Some(table) => {
                 prescore_with_lookup(
                     ctx,
+                    pool,
                     table,
                     &self.site_to_pattern,
                     chunk,
@@ -624,7 +653,7 @@ impl Placer {
                 );
             }
             None => {
-                self.prescore_blocked(ctx, store, chunk, mat, branches, &deg)?;
+                self.prescore_blocked(ctx, store, pool, chunk, mat, branches, &deg)?;
             }
         }
         drop(phase_span);
@@ -653,7 +682,7 @@ impl Placer {
         let grouped = group_by_branch_ranked(&cand, dfs_rank);
         let n_thorough = grouped.iter().map(|(_, qs)| qs.len() as u64).sum::<u64>();
         report.n_thorough += n_thorough;
-        self.thorough_blocked(ctx, store, chunk, &grouped, qoff, results, &deg)?;
+        self.thorough_blocked(ctx, store, pool, chunk, &grouped, qoff, results, &deg)?;
         drop(phase_span);
         report.thorough_time += t.elapsed();
         let snap = deg.snapshot();
@@ -672,10 +701,12 @@ impl Placer {
     /// under the slot budget (optionally prefetched asynchronously) and a
     /// transient score table is built per branch — the paper's expensive
     /// path.
+    #[allow(clippy::too_many_arguments)]
     fn prescore_blocked(
         &self,
         ctx: &ReferenceContext,
         store: &ManagedStore,
+        pool: &SiteParPool,
         chunk: &[EncodedQuery],
         mat: &mut [f64],
         branches: usize,
@@ -690,8 +721,7 @@ impl Placer {
             all_edges.chunks(plan.block_size).map(|b| b.to_vec()).collect();
         let s2p = &self.site_to_pattern;
         let pendant = (ctx.tree().total_length() / branches as f64).max(1e-6);
-        let mut mat_cell = RowMatrix { data: mat, width: branches };
-        run_blocks(ctx, store, &blocks, plan.async_prefetch, deg, |block| {
+        run_blocks(ctx, store, pool, &blocks, plan.async_prefetch, deg, |block| {
             // Build the block's transient tables; the block's CLVs are
             // pinned and published, so reads need no lock.
             let tables: Vec<BranchScoreTable> = {
@@ -705,7 +735,7 @@ impl Placer {
                     .collect()
             };
             // Score the chunk against the block, parallel over queries.
-            mat_cell.with_rows(chunk.len(), cfg.threads, |q_range, rows| {
+            score_rows(pool, mat, branches, cfg.threads, |q_range, rows| {
                 for (local, row) in q_range.clone().zip(rows.chunks_mut(branches)) {
                     let codes = &chunk[local].codes;
                     for (bi, &e) in block.iter().enumerate() {
@@ -719,14 +749,16 @@ impl Placer {
 
     /// Thorough scoring of the candidate (query, branch) pairs, processed
     /// in branch blocks.
+    #[allow(clippy::too_many_arguments)]
     fn thorough_blocked(
         &self,
         ctx: &ReferenceContext,
         store: &ManagedStore,
+        pool: &SiteParPool,
         chunk: &[EncodedQuery],
         grouped: &[(EdgeId, Vec<usize>)],
         qoff: usize,
-        results: &mut Vec<PlacementResult>,
+        results: &mut [PlacementResult],
         deg: &DegradationCounters,
     ) -> Result<(), PlaceError> {
         let cfg = &self.cfg;
@@ -738,81 +770,65 @@ impl Placer {
         // is looked up per edge rather than tracked by a cursor.
         let group_of: std::collections::HashMap<u32, &Vec<usize>> =
             grouped.iter().map(|(e, qs)| (e.0, qs)).collect();
-        run_blocks(ctx, store, &blocks, plan.async_prefetch, deg, |block| {
-            // Flatten to (edge, query) work items and strip across threads.
+        run_blocks(ctx, store, pool, &blocks, plan.async_prefetch, deg, |block| {
+            // Flatten to (edge, query) work items and stripe them over
+            // pool tasks.
             let items: Vec<(EdgeId, usize)> =
                 block.iter().flat_map(|e| group_of[&e.0].iter().map(move |&q| (*e, q))).collect();
-            let n_threads = cfg.threads.min(items.len().max(1));
-            let mut outputs: Vec<Vec<(usize, PlacementEntry)>> = Vec::new();
-            let mut failed: Option<PlaceError> = None;
-            std::thread::scope(|s| {
-                let mut handles = Vec::new();
-                for t in 0..n_threads {
-                    let items = &items;
-                    handles.push(s.spawn(
-                        move || -> Result<Vec<(usize, PlacementEntry)>, PlaceError> {
-                            if phylo_faults::fire("place::worker_panic") {
-                                panic!("injected thorough-worker panic");
-                            }
-                            let mut out = Vec::new();
-                            let mut scratch = ScoreScratch::new(ctx);
-                            let mut k = t;
-                            while k < items.len() {
-                                let (e, q) = items[k];
-                                let sp = score_thorough(
-                                    ctx,
-                                    store,
-                                    e,
-                                    s2p,
-                                    &chunk[q].codes,
-                                    cfg.blo_iterations,
-                                    &mut scratch,
-                                )?;
-                                if !sp.log_likelihood.is_finite() {
-                                    return Err(PlaceError::NonFiniteLikelihood {
-                                        query: chunk[q].name.clone(),
-                                        edge: e.0,
-                                    });
-                                }
-                                let t_len = ctx.tree().edge_length(e);
-                                out.push((
-                                    q,
-                                    PlacementEntry {
-                                        edge: e,
-                                        log_likelihood: sp.log_likelihood,
-                                        like_weight_ratio: 0.0,
-                                        pendant_length: sp.pendant,
-                                        distal_length: sp.proximal_fraction * t_len,
-                                    },
-                                ));
-                                k += n_threads;
-                            }
-                            Ok(out)
+            let n_stripes = cfg.threads.min(items.len().max(1));
+            type Stripe = Result<Vec<(usize, PlacementEntry)>, PlaceError>;
+            let stripes: Vec<Mutex<Stripe>> =
+                (0..n_stripes).map(|_| Mutex::new(Ok(Vec::new()))).collect();
+            let score_stripe = |t: usize| -> Stripe {
+                if phylo_faults::fire("place::worker_panic") {
+                    panic!("injected thorough-worker panic");
+                }
+                let mut out = Vec::new();
+                let mut scratch = ScoreScratch::new(ctx);
+                for &(e, q) in items.iter().skip(t).step_by(n_stripes) {
+                    let sp = score_thorough(
+                        ctx,
+                        store,
+                        e,
+                        s2p,
+                        &chunk[q].codes,
+                        cfg.blo_iterations,
+                        &mut scratch,
+                    )?;
+                    if !sp.log_likelihood.is_finite() {
+                        return Err(PlaceError::NonFiniteLikelihood {
+                            query: chunk[q].name.clone(),
+                            edge: e.0,
+                        });
+                    }
+                    let t_len = ctx.tree().edge_length(e);
+                    out.push((
+                        q,
+                        PlacementEntry {
+                            edge: e,
+                            log_likelihood: sp.log_likelihood,
+                            like_weight_ratio: 0.0,
+                            pendant_length: sp.pendant,
+                            distal_length: sp.proximal_fraction * t_len,
                         },
                     ));
                 }
-                // Join every worker even after a panic or error: the scope
-                // must not re-raise, and the surviving workers' leases must
-                // drain before the error surfaces.
-                for h in handles {
-                    match h.join() {
-                        Ok(Ok(out)) => outputs.push(out),
-                        Ok(Err(e)) => {
-                            failed.get_or_insert(e);
-                        }
-                        Err(payload) => {
-                            failed = Some(PlaceError::WorkerPanicked {
-                                context: format!(
-                                    "thorough scoring worker: {}",
-                                    panic_message(payload.as_ref())
-                                ),
-                            });
-                        }
-                    }
-                }
-            });
-            if let Some(e) = failed {
-                return Err(e);
+                Ok(out)
+            };
+            // The pool finishes every stripe before it re-raises a
+            // stripe's panic, so the surviving stripes' leases are
+            // released before the error surfaces; a panic outranks the
+            // other stripes' errors.
+            contain("thorough scoring task", || {
+                pool.run(n_stripes, &|t| {
+                    let out = score_stripe(t);
+                    *stripes[t].lock().expect("only stripe t's own task locks its slot") = out;
+                });
+                Ok(())
+            })?;
+            let mut outputs = Vec::with_capacity(n_stripes);
+            for stripe in stripes {
+                outputs.push(stripe.into_inner().expect("no task panics holding a stripe slot")?);
             }
             for out in outputs {
                 for (q, entry) in out {
@@ -921,7 +937,8 @@ fn run_metrics(
     report: &RunReport,
     base: &phylo_obs::Snapshot,
     tier: phylo_kernel::KernelTier,
-    pool: phylo_kernel::sitepar::PoolStats,
+    pool: PoolStats,
+    scoring: PoolStats,
     tiers: Option<&phylo_amc::TieredStore>,
 ) -> phylo_obs::Snapshot {
     let mut m = phylo_obs::snapshot().delta(base);
@@ -931,6 +948,9 @@ fn run_metrics(
     m.set_gauge("sitepar.pool.queue_depth", pool.queue_depth as i64);
     m.set_counter("sitepar.pool.jobs", pool.jobs);
     m.set_counter("sitepar.pool.tasks", pool.tasks);
+    m.set_gauge("place.pool.workers", scoring.workers as i64);
+    m.set_counter("place.pool.jobs", scoring.jobs);
+    m.set_counter("place.pool.tasks", scoring.tasks);
     let s = &report.slot_stats;
     m.set_counter("slot.hits", s.hits);
     m.set_counter("slot.misses", s.misses);
@@ -955,7 +975,7 @@ fn run_metrics(
         m.set_counter("tier.prefetches", t.prefetches);
     }
     if let Some(tiers) = tiers {
-        for (name, bytes, entries) in tiers.occupancy() {
+        for (name, entries, bytes) in tiers.occupancy() {
             m.set_gauge(&format!("tier.{name}.bytes"), bytes as i64);
             m.set_gauge(&format!("tier.{name}.entries"), entries as i64);
         }
@@ -963,42 +983,38 @@ fn run_metrics(
     m
 }
 
-/// Shared-nothing row access: hands disjoint row ranges of a flat matrix
-/// to worker threads.
-struct RowMatrix<'a> {
-    data: &'a mut [f64],
+/// Runs `work` over disjoint row ranges of a flat `width`-column matrix
+/// as pool tasks: the rows split into at most `n_parts` contiguous,
+/// near-equal ranges, each handed to `work` with its own rows.
+fn score_rows(
+    pool: &SiteParPool,
+    data: &mut [f64],
     width: usize,
-}
-
-impl<'a> RowMatrix<'a> {
-    fn with_rows(
-        &mut self,
-        n_rows: usize,
-        n_threads: usize,
-        work: impl Fn(std::ops::Range<usize>, &mut [f64]) + Sync,
-    ) {
-        let width = self.width;
-        let n_threads = n_threads.max(1).min(n_rows.max(1));
-        let rows_per = n_rows.div_ceil(n_threads);
-        std::thread::scope(|s| {
-            let mut rest: &mut [f64] = self.data;
-            let mut start = 0usize;
-            while start < n_rows {
-                let take = rows_per.min(n_rows - start);
-                let (head, tail) = rest.split_at_mut(take * width);
-                rest = tail;
-                let range = start..start + take;
-                let work = &work;
-                s.spawn(move || work(range, head));
-                start += take;
-            }
-        });
+    n_parts: usize,
+    work: impl Fn(std::ops::Range<usize>, &mut [f64]) + Sync,
+) {
+    let n_rows = data.len() / width.max(1);
+    if n_rows == 0 {
+        return;
     }
+    let rows_per = n_rows.div_ceil(n_parts.max(1).min(n_rows));
+    let parts: Vec<Mutex<(usize, &mut [f64])>> = data
+        .chunks_mut(rows_per * width)
+        .enumerate()
+        .map(|(i, rows)| Mutex::new((i * rows_per, rows)))
+        .collect();
+    pool.run(parts.len(), &|i| {
+        let mut part = parts[i].lock().expect("only task i locks row range i");
+        let (start, rows) = &mut *part;
+        work(*start..*start + rows.len() / width, rows);
+    });
 }
 
 /// Phase-1 prescoring against the lookup table, parallel over queries.
+#[allow(clippy::too_many_arguments)]
 fn prescore_with_lookup(
     ctx: &ReferenceContext,
+    pool: &SiteParPool,
     table: &LookupTable,
     s2p: &[u32],
     chunk: &[EncodedQuery],
@@ -1006,8 +1022,7 @@ fn prescore_with_lookup(
     branches: usize,
     n_threads: usize,
 ) {
-    let mut m = RowMatrix { data: mat, width: branches };
-    m.with_rows(chunk.len(), n_threads, |q_range, rows| {
+    score_rows(pool, mat, branches, n_threads, |q_range, rows| {
         for (local, row) in q_range.clone().zip(rows.chunks_mut(branches)) {
             let codes = &chunk[local].codes;
             for e in ctx.tree().all_edges() {
@@ -1018,13 +1033,15 @@ fn prescore_with_lookup(
 }
 
 /// Runs `scorer` over branch blocks whose CLVs are prepared under the slot
-/// budget. With `async_prefetch`, the next block's CLVs are computed on a
-/// dedicated thread while the current block is scored — the paper's
-/// adapted parallelization. There is no store-wide lock: the prefetch
-/// thread plans under the store's internal plan lock (held only during
-/// planning) and then executes lock-free under its execution pins, so
-/// scoring readers of the current block's pinned, published slots never
-/// block on it (see DESIGN.md §6).
+/// budget. With `async_prefetch`, the next block's CLVs are computed as a
+/// pool task while the current block is scored on the calling thread —
+/// the paper's adapted parallelization. The scorer stays on the caller so
+/// its own pool calls (the query split) can use every idle worker; with
+/// no idle worker the caller prefetches after scoring. There is no
+/// store-wide lock: the prefetch plans under the store's internal plan
+/// lock (held only during planning) and then executes lock-free under
+/// its execution pins, so scoring readers of the current block's pinned,
+/// published slots never block on it (see DESIGN.md §6).
 ///
 /// Degrades gracefully under slot pressure: if a block's targets cannot
 /// all be pinned at once ([`phylo_amc::AmcError::AllSlotsPinned`]), the
@@ -1033,6 +1050,7 @@ fn prescore_with_lookup(
 fn run_blocks(
     ctx: &ReferenceContext,
     store: &ManagedStore,
+    pool: &SiteParPool,
     blocks: &[Vec<EdgeId>],
     async_prefetch: bool,
     deg: &DegradationCounters,
@@ -1051,71 +1069,28 @@ fn run_blocks(
     for k in 0..blocks.len() {
         match next.take() {
             Some(prepared) => {
-                let mut prefetched: Option<PreparedBlock> = None;
-                let mut prefetch_result: Result<(), PlaceError> = Ok(());
-                let mut scorer_result: Result<(), PlaceError> = Ok(());
-                if k + 1 < blocks.len() {
-                    let next_dirs = dirs_of(&blocks[k + 1]);
-                    // The traversal schedule names next block's CLVs in
-                    // advance — stage any demoted copies (disk reads off
-                    // the critical path) before the slot planner asks.
-                    if let Some(tiers) = store.arena().tiers() {
-                        let keys: Vec<phylo_amc::ClvKey> =
-                            next_dirs.iter().map(|d| phylo_amc::ClvKey(d.0)).collect();
-                        tiers.prefetch(&keys);
-                    }
-                    let pref_slot = &mut prefetched;
-                    let pref_err = &mut prefetch_result;
-                    std::thread::scope(|s| {
-                        let handle = s.spawn(|| -> Result<Option<PreparedBlock>, PlaceError> {
-                            let _span = phylo_obs::trace::span("prefetch", "prefetch");
-                            if phylo_faults::fire("place::prefetch_panic") {
-                                // Fires before any pins are taken, so the
-                                // contained panic leaves nothing to drain.
-                                panic!("injected prefetch panic");
-                            }
-                            let mut pending = match store.plan_prepare(ctx, &next_dirs) {
-                                Ok(p) => p,
-                                Err(e) if is_pin_exhaustion(&e) => return Ok(None),
-                                Err(e) => return Err(e.into()),
-                            };
-                            loop {
-                                match store.execute_one(ctx, &mut pending) {
-                                    Ok(true) => {}
-                                    Ok(false) => break,
-                                    Err(e) => {
-                                        // The failed step left unpublished
-                                        // targets; drop them so the store
-                                        // stays usable for whoever handles
-                                        // the error.
-                                        store.abandon(pending);
-                                        return Err(e.into());
-                                    }
-                                }
-                            }
-                            Ok(Some(pending.into_prepared()))
-                        });
-                        scorer_result = scorer(&blocks[k]);
-                        match handle.join() {
-                            Ok(Ok(opt)) => *pref_slot = opt,
-                            Ok(Err(e)) => *pref_err = Err(e),
-                            Err(payload) => {
-                                *pref_err = Err(PlaceError::WorkerPanicked {
-                                    context: format!(
-                                        "prefetch thread: {}",
-                                        panic_message(payload.as_ref())
-                                    ),
-                                });
-                            }
+                let (scorer_result, prefetch_result) = match blocks.get(k + 1) {
+                    Some(following) => {
+                        let next_dirs = dirs_of(following);
+                        // The traversal schedule names next block's CLVs
+                        // in advance — stage any demoted copies (disk
+                        // reads off the critical path) before the slot
+                        // planner asks.
+                        if let Some(tiers) = store.arena().tiers() {
+                            let keys: Vec<phylo_amc::ClvKey> =
+                                next_dirs.iter().map(|d| phylo_amc::ClvKey(d.0)).collect();
+                            tiers.prefetch(&keys);
                         }
-                    });
-                } else {
-                    scorer_result = scorer(&blocks[k]);
-                }
+                        pool.join(
+                            || scorer(&blocks[k]),
+                            || contain("prefetch task", || prefetch(ctx, store, &next_dirs)),
+                        )
+                    }
+                    None => (scorer(&blocks[k]), Ok(None)),
+                };
                 store.release(prepared);
                 scorer_result?;
-                prefetch_result?;
-                next = prefetched;
+                next = prefetch_result?;
             }
             None => {
                 // This block could not be prefetched whole: prepare it
@@ -1129,6 +1104,49 @@ fn run_blocks(
         }
     }
     Ok(())
+}
+
+/// The asynchronous half of [`run_blocks`]: plans and computes the next
+/// block's CLVs. Pin exhaustion is "not now" (`Ok(None)`), not an error.
+fn prefetch(
+    ctx: &ReferenceContext,
+    store: &ManagedStore,
+    dirs: &[DirEdgeId],
+) -> Result<Option<PreparedBlock>, PlaceError> {
+    let _span = phylo_obs::trace::span("prefetch", "prefetch");
+    if phylo_faults::fire("place::prefetch_panic") {
+        // Fires before any pins are taken, so the contained panic
+        // leaves nothing to drain.
+        panic!("injected prefetch panic");
+    }
+    let mut pending = match store.plan_prepare(ctx, dirs) {
+        Ok(p) => p,
+        Err(e) if is_pin_exhaustion(&e) => return Ok(None),
+        Err(e) => return Err(e.into()),
+    };
+    loop {
+        match store.execute_one(ctx, &mut pending) {
+            Ok(true) => {}
+            Ok(false) => break,
+            Err(e) => {
+                // The failed step left unpublished targets; drop them so
+                // the store stays usable for whoever handles the error.
+                store.abandon(pending);
+                return Err(e.into());
+            }
+        }
+    }
+    Ok(Some(pending.into_prepared()))
+}
+
+/// Runs a pool-task body, turning a panic into
+/// [`PlaceError::WorkerPanicked`] tagged with `what`.
+fn contain<R>(what: &str, body: impl FnOnce() -> Result<R, PlaceError>) -> Result<R, PlaceError> {
+    std::panic::catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|payload| {
+        Err(PlaceError::WorkerPanicked {
+            context: format!("{what}: {}", panic_message(payload.as_ref())),
+        })
+    })
 }
 
 /// Renders a caught panic payload for [`PlaceError::WorkerPanicked`].
@@ -1563,6 +1581,32 @@ mod tests {
         let ok = placer.place_warm(&warm, &batch, &fresh).unwrap();
         assert!(ok.completed);
         assert_eq!(ok.results.len(), 6);
+    }
+
+    #[test]
+    fn tier_gauges_report_occupancy_under_their_own_names() {
+        let cfg = phylo_amc::TierConfig::parse("compressed").unwrap();
+        let tiers = phylo_amc::TieredStore::new(&cfg, 16, 8, 4, vec![2.0; 16], None).unwrap();
+        let clv: Vec<f64> = (0..8).map(|i| f64::from(i) * 0.37 - 1.0).collect();
+        for key in 0..5 {
+            assert!(tiers.offer(phylo_amc::ClvKey(key), &clv, &[0, 1, 2, 3]));
+        }
+        tiers.drain();
+        let m = run_metrics(
+            &RunReport::default(),
+            &phylo_obs::snapshot(),
+            phylo_kernel::KernelTier::Reference,
+            PoolStats::default(),
+            PoolStats::default(),
+            Some(&tiers),
+        );
+        let occupancy = tiers.occupancy();
+        assert_eq!(occupancy, vec![("compressed", 5, occupancy[0].2)]);
+        assert_ne!(occupancy[0].1, occupancy[0].2, "entries and bytes must be distinguishable");
+        for (name, entries, bytes) in occupancy {
+            assert_eq!(m.gauges[&format!("tier.{name}.entries")], entries as i64);
+            assert_eq!(m.gauges[&format!("tier.{name}.bytes")], bytes as i64);
+        }
     }
 
     #[test]

@@ -15,6 +15,18 @@ RUSTFLAGS="-D warnings" cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# Every crate's own unit and integration tests (the slot-model oracle,
+# the pool's panic and scheduling tests, ...): `cargo test` at the root
+# runs the root package only. The `bench` package holds criterion
+# benches, not tests; the bench smoke pass below compiles them.
+echo "==> cargo test -q --workspace --exclude bench"
+cargo test -q --workspace --exclude bench
+
+# The benchmark's own contract: metric names and units match
+# BENCHMARK.json, and the per-layer ledger sums to the wall clock.
+echo "==> cargo test -q --manifest-path oif-bench/Cargo.toml"
+cargo test -q --manifest-path oif-bench/Cargo.toml
+
 # The kernel crate's differential + proptest suite, once per tier: the
 # dispatch must be correct no matter what PHYLO_KERNEL_TIER pins, and
 # the forced-fallback run (simd tier + portable backend) is what a

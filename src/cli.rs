@@ -407,15 +407,20 @@ pub fn run_placement_with(opts: &CliOptions, cancel: CancelToken) -> Result<RunO
         String::new()
     };
     let summary = if outcome.completed {
+        // A slot miss is answered either by a tier reload or by a
+        // Felsenstein computation; only the latter counts as computed.
+        let reloads = report.tier_stats.map_or(0, |t| t.reloads);
+        let reloaded =
+            report.tier_stats.map(|t| format!(", {} tier reloads", t.reloads)).unwrap_or_default();
         format!(
-            "placed {} queries on {} branches in {:.2}s (peak {:.1} MiB, {} CLV slots, lookup {}, {} CLV computations{})",
+            "placed {} queries on {} branches in {:.2}s (peak {:.1} MiB, {} CLV slots, lookup {}, {} CLV computations{reloaded}{})",
             report.n_queries,
             tree.n_edges(),
             report.total_time.as_secs_f64(),
             report.peak_memory as f64 / (1024.0 * 1024.0),
             report.slots,
             if report.used_lookup { "on" } else { "off" },
-            report.slot_stats.misses,
+            report.slot_stats.misses.saturating_sub(reloads),
             resumed,
         )
     } else {

@@ -119,3 +119,71 @@ fn disk_tier_honors_an_explicit_directory() {
     assert_eq!(leftovers, 0, "tier arena file must be cleaned up on drop");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Reads `"name": value` out of a `--metrics-json` document.
+fn json_number(json: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\": ");
+    let at = json.find(&key).unwrap_or_else(|| panic!("{name} missing from {json}")) + key.len();
+    json[at..].split(|c: char| !c.is_ascii_digit()).next().unwrap().parse().unwrap()
+}
+
+/// The run summary counts a slot miss answered by a tier reload as a
+/// reload, not as a CLV computation: computations + reloads == misses.
+#[test]
+fn summary_counts_tier_reloads_apart_from_computations() {
+    let (ds, _, _) = setup();
+    let dir = std::env::temp_dir().join(format!("phyloplace-summary-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let metrics = dir.join("metrics.json");
+    let opts = phyloplace::cli::CliOptions {
+        tree_text: phyloplace::tree::newick::write(&ds.tree),
+        ref_fasta: phyloplace::seq::fasta::to_string(ds.reference.rows(), 70),
+        query_fasta: phyloplace::seq::fasta::to_string(&ds.queries, 70),
+        alphabet: ds.spec.alphabet,
+        maxmem_mib: Some(0.3),
+        no_lookup: true,
+        chunk_size: 7,
+        metrics_json: Some(metrics.to_str().unwrap().to_string()),
+        tiers: Some(phylo_amc::TierConfig::parse("compressed").unwrap()),
+        ..Default::default()
+    };
+    let out = phyloplace::cli::run_placement(&opts).unwrap();
+    let json = std::fs::read_to_string(&metrics).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // "... lookup off, C CLV computations, R tier reloads)"
+    let number_before = |label: &str| -> u64 {
+        let head = &out.summary[..out
+            .summary
+            .find(label)
+            .unwrap_or_else(|| panic!("summary lacks {label:?}: {}", out.summary))];
+        head.trim_end().rsplit(' ').next().unwrap().parse().unwrap()
+    };
+    let computed = number_before(" CLV computations");
+    let reloads = number_before(" tier reloads");
+    let misses = json_number(&json, "slot.misses");
+    assert_eq!(reloads, json_number(&json, "tier.reloads"), "{}", out.summary);
+    assert!(reloads > 0, "the tight budget must reload demoted CLVs: {}", out.summary);
+    assert_eq!(computed + reloads, misses, "{}", out.summary);
+}
+
+/// `tier.<name>.entries` and `tier.<name>.bytes` report what
+/// `TieredStore::occupancy` holds, each under its own name.
+#[test]
+fn tier_occupancy_gauges_are_not_swapped() {
+    let (ds, s2p, batch) = setup();
+    let cfg = tight_config(&ds, &batch);
+    let tiers = phylo_amc::TierConfig::parse("compressed").unwrap();
+    let (_, report) = run(&ds, &s2p, &batch, &EpaConfig { tiers: Some(tiers), ..cfg });
+    let stats = report.tier_stats.unwrap();
+    let entries = report.metrics.gauges["tier.compressed.entries"];
+    let bytes = report.metrics.gauges["tier.compressed.bytes"];
+    assert!(entries > 0, "the floor run must leave demoted CLVs in the tier");
+    assert!(
+        entries as u64 <= stats.writebacks,
+        "{entries} entries from {} writebacks",
+        stats.writebacks
+    );
+    // A stored CLV is at least one f64 of compressed payload.
+    assert!(bytes >= 8 * entries, "{bytes} bytes for {entries} entries");
+}
